@@ -55,31 +55,47 @@ Prepared prepare(const Csc& a, index_t block_size, rank_t ranks) {
   return p;
 }
 
-/// Wall-clock the numeric phase at value type V: min-of-repeats over fresh
-/// precision-converted copies of the blocked pattern (the factorisation
+/// Wall-clock one numeric phase at value type V on a fresh
+/// precision-converted copy of the blocked pattern (the factorisation
 /// mutates its input). Returns the modeled message bytes alongside.
 template <class V>
-std::pair<double, std::size_t> time_numeric(const Prepared& p, rank_t ranks,
-                                            int repeats) {
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t bytes = 0;
+std::pair<double, std::size_t> time_numeric_once(const Prepared& p,
+                                                 rank_t ranks) {
+  auto bm = block::BlockMatrixT<V>::converted_from(p.bm);
+  runtime::SimOptions opts;
+  opts.n_ranks = ranks;
+  // Serial CPU kernels isolate the arithmetic/bandwidth cost the precision
+  // switch targets: the parallel variants spin-wait on the strictly
+  // sequential column chains of these dense-ish factors, an overhead that
+  // is identical at both widths and only dilutes the measured ratio.
+  opts.policy = runtime::KernelPolicy::kFixedCpu;
+  runtime::SimResult res;
+  Timer t;
+  runtime::simulate_factorization(bm, p.tasks, p.mapping, opts, &res).check();
+  return {t.seconds(), res.bytes};
+}
+
+struct NumericTimes {
+  double fp64_s = std::numeric_limits<double>::infinity();
+  double fp32_s = std::numeric_limits<double>::infinity();
+  std::size_t fp64_bytes = 0;
+  std::size_t fp32_bytes = 0;
+};
+
+/// Min-of-repeats numeric phase at both widths. The FP64 and FP32 runs
+/// alternate within each repeat, so a slow host phase lasting seconds slows
+/// both sides of the ratio instead of all repeats of one side.
+NumericTimes time_numeric(const Prepared& p, rank_t ranks, int repeats) {
+  NumericTimes t;
   for (int rep = 0; rep < repeats; ++rep) {
-    auto bm = block::BlockMatrixT<V>::converted_from(p.bm);
-    runtime::SimOptions opts;
-    opts.n_ranks = ranks;
-    // Serial CPU kernels isolate the arithmetic/bandwidth cost the precision
-    // switch targets: the parallel variants spin-wait on the strictly
-    // sequential column chains of these dense-ish factors, an overhead that
-    // is identical at both widths and only dilutes the measured ratio.
-    opts.policy = runtime::KernelPolicy::kFixedCpu;
-    runtime::SimResult res;
-    Timer t;
-    runtime::simulate_factorization(bm, p.tasks, p.mapping, opts, &res)
-        .check();
-    best = std::min(best, t.seconds());
-    bytes = res.bytes;
+    const auto [s64, b64] = time_numeric_once<double>(p, ranks);
+    t.fp64_s = std::min(t.fp64_s, s64);
+    t.fp64_bytes = b64;
+    const auto [s32, b32] = time_numeric_once<float>(p, ranks);
+    t.fp32_s = std::min(t.fp32_s, s32);
+    t.fp32_bytes = b32;
   }
-  return {best, bytes};
+  return t;
 }
 
 /// End-to-end factorize + solve at the given precision; returns
@@ -158,8 +174,8 @@ int main() {
     // the filled factors of every family above, small enough that per-block
     // scheduling stays negligible.
     Prepared p = prepare(f.a, 96, ranks);
-    const auto [fp64_s, fp64_bytes] = time_numeric<double>(p, ranks, repeats);
-    const auto [fp32_s, fp32_bytes] = time_numeric<float>(p, ranks, repeats);
+    const auto [fp64_s, fp32_s, fp64_bytes, fp32_bytes] =
+        time_numeric(p, ranks, repeats);
     const double speedup = fp64_s / fp32_s;
     log_speedup_sum += std::log(speedup);
 

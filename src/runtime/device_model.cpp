@@ -66,17 +66,6 @@ double DeviceModel::sparse_kernel_time(bool gpu, kernels::Addressing addr,
   return c->time(flops, nnz, dim);
 }
 
-double DeviceModel::sparse_kernel_time(bool gpu, bool direct_addressing,
-                                       double flops, double nnz,
-                                       double dim) const {
-  const kernels::Addressing addr =
-      direct_addressing
-          ? kernels::Addressing::kDirect
-          : (gpu ? kernels::Addressing::kBinSearch
-                 : kernels::Addressing::kMerge);
-  return sparse_kernel_time(gpu, addr, flops, nnz, dim);
-}
-
 double DeviceModel::dense_update_time(double flops, double moved_bytes) const {
   if (flops < dense_cpu_threshold) {
     return 1e-6 + flops / dense_cpu_rate + moved_bytes / host_copy_bw;

@@ -80,12 +80,6 @@ struct DeviceModel {
   double sparse_kernel_time(bool gpu, kernels::Addressing addr, double flops,
                             double nnz, double dim) const;
 
-  /// Legacy two-class overload (direct vs. not); the non-direct class maps
-  /// to bin-search on GPU and merge on CPU, matching the pre-merge-family
-  /// variant split. Kept for callers that predate Addressing.
-  double sparse_kernel_time(bool gpu, bool direct_addressing, double flops,
-                            double nnz, double dim) const;
-
   /// Time of one dense GEMM update of the supernodal baseline, including
   /// gather/scatter of `moved_bytes`.
   double dense_update_time(double flops, double moved_bytes) const;

@@ -137,14 +137,14 @@ Status build_trsv_plan(const block::BlockMatrixT<V>& f,
     if (t < nb) {
       const CscT<V>& d = f.block(plan->diag_pos[static_cast<std::size_t>(t)]);
       plan->cost[static_cast<std::size_t>(t)] = opts.device.sparse_kernel_time(
-          /*gpu=*/true, /*direct=*/false, 2.0 * static_cast<double>(d.nnz()),
+          /*gpu=*/true, kernels::Addressing::kBinSearch, 2.0 * static_cast<double>(d.nnz()),
           static_cast<double>(d.nnz()), grid.block_dim(t));
       seg = t;
     } else {
       const auto u = static_cast<std::size_t>(t - nb);
       const CscT<V>& blk = f.block(plan->upd_pos[u]);
       plan->cost[static_cast<std::size_t>(t)] = opts.device.sparse_kernel_time(
-          true, false, 2.0 * static_cast<double>(blk.nnz()),
+          true, kernels::Addressing::kBinSearch, 2.0 * static_cast<double>(blk.nnz()),
           static_cast<double>(blk.nnz()), grid.block_dim(plan->upd_dst[u]));
       seg = plan->upd_dst[u];
     }

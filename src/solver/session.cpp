@@ -6,17 +6,6 @@
 
 namespace pangulu::solver {
 
-namespace {
-
-/// The two cooperative-stop codes: the request was shed, not broken, so
-/// session state rolls back instead of degrading to not-ready.
-bool is_shed_code(const Status& s) {
-  return s.code() == StatusCode::kCancelled ||
-         s.code() == StatusCode::kDeadlineExceeded;
-}
-
-}  // namespace
-
 std::uint64_t pattern_fingerprint(const Csc& a) {
   // FNV-1a over the order and the pattern arrays, byte for byte. Values are
   // deliberately excluded: the fingerprint answers "may refactorize() accept
@@ -70,7 +59,7 @@ Status Session::refactorize(std::span<const value_t> values) {
   Status s = solver_.refactorize_values(values);
   // A cancelled/deadline-shed refactorize rolled back to the previous
   // factors inside the solver; the session stays serviceable with them.
-  if (!s.is_ok() && !is_shed_code(s)) ready_ = false;
+  if (!s.is_ok() && !is_cancel_code(s)) ready_ = false;
   return s;
 }
 
@@ -82,7 +71,7 @@ Status Session::refactorize(const Csc& a) {
         "session: sparsity-pattern fingerprint mismatch — refactorize() "
         "requires the analysed pattern; run setup() for a new one");
   Status s = solver_.refactorize(a);
-  if (!s.is_ok() && !is_shed_code(s)) ready_ = false;
+  if (!s.is_ok() && !is_cancel_code(s)) ready_ = false;
   return s;
 }
 

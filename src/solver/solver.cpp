@@ -162,43 +162,6 @@ void diag_lower_transpose_solve(const CscT<V>& d, V* x) {
 
 }  // namespace
 
-template <class V>
-void block_upper_transpose_solve(const block::BlockMatrixT<V>& f,
-                                 std::type_identity_t<std::span<V>> x) {
-  const auto& grid = f.grid();
-  // U^T is lower triangular: forward sweep. The blocks of U^T's block-row
-  // bk are the transposes of U's block-column bk (block rows bj < bk).
-  for (index_t bk = 0; bk < f.nb(); ++bk) {
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t p = f.col_begin(bk); p < f.col_end(bk); ++p) {
-      const index_t bj = f.block_row(p);
-      if (bj >= bk) continue;
-      block_spmv_t_sub(f.block(p), x.data() + grid.block_start(bj), seg);
-    }
-    const nnz_t diag = f.find_block(bk, bk);
-    PANGULU_CHECK(diag >= 0, "missing diagonal block");
-    diag_upper_transpose_solve(f.block(diag), seg);
-  }
-}
-
-template <class V>
-void block_lower_transpose_solve(const block::BlockMatrixT<V>& f,
-                                 std::type_identity_t<std::span<V>> x) {
-  const auto& grid = f.grid();
-  // L^T is upper triangular: backward sweep over block-columns of L.
-  for (index_t bk = f.nb() - 1; bk >= 0; --bk) {
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t p = f.col_begin(bk); p < f.col_end(bk); ++p) {
-      const index_t bi = f.block_row(p);
-      if (bi <= bk) continue;
-      block_spmv_t_sub(f.block(p), x.data() + grid.block_start(bi), seg);
-    }
-    const nnz_t diag = f.find_block(bk, bk);
-    PANGULU_CHECK(diag >= 0, "missing diagonal block");
-    diag_lower_transpose_solve(f.block(diag), seg);
-  }
-}
-
 template <class BM>
 SolvePlan SolvePlan::build(const BM& f) {
   SolvePlan plan;
@@ -461,14 +424,6 @@ template void block_upper_solve(const block::BlockMatrixT<float>&,
                                 std::span<float>);
 template void block_upper_solve(const block::BlockMatrixT<double>&,
                                 std::span<double>);
-template void block_upper_transpose_solve(const block::BlockMatrixT<float>&,
-                                          std::span<float>);
-template void block_upper_transpose_solve(const block::BlockMatrixT<double>&,
-                                          std::span<double>);
-template void block_lower_transpose_solve(const block::BlockMatrixT<float>&,
-                                          std::span<float>);
-template void block_lower_transpose_solve(const block::BlockMatrixT<double>&,
-                                          std::span<double>);
 template Status block_lower_solve(const block::BlockMatrixT<float>&,
                                   const SolvePlan&, std::span<float>,
                                   const CancelToken*);
@@ -864,6 +819,12 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
   return Status::ok();
 }
 
+template <class Fn>
+Status Solver::on_stored_factors(Fn&& fn) const {
+  if (kernels::stores_fp32(opts_.precision)) return fn(factors32_);
+  return fn(factors_);
+}
+
 Status Solver::build_solve_plans() {
   Timer timer;
   solve_plan_ = SolvePlan::build(factors_);
@@ -871,22 +832,16 @@ Status Solver::build_solve_plans() {
   topts.device = opts_.device;
   topts.n_ranks = opts_.n_ranks;
   topts.execute_numerics = false;
-  Status s;
-  if (kernels::stores_fp32(opts_.precision)) {
-    // Build against the FP32 twin so the plans' segment byte sizes model the
-    // FP32 message payloads (the structure arrays are identical either way).
-    s = runtime::build_trsv_plan(factors32_, mapping_, /*lower=*/true, topts,
-                                 &trsv_fwd_);
-    if (!s.is_ok()) return s;
-    s = runtime::build_trsv_plan(factors32_, mapping_, /*lower=*/false, topts,
-                                 &trsv_bwd_);
-  } else {
-    s = runtime::build_trsv_plan(factors_, mapping_, /*lower=*/true, topts,
-                                 &trsv_fwd_);
-    if (!s.is_ok()) return s;
-    s = runtime::build_trsv_plan(factors_, mapping_, /*lower=*/false, topts,
-                                 &trsv_bwd_);
-  }
+  // Built against the stored twin, so the plans' segment byte sizes model the
+  // message payloads at the stored width (the structure arrays are identical
+  // either way).
+  const Status s = on_stored_factors([&](const auto& f) {
+    Status st = runtime::build_trsv_plan(f, mapping_, /*lower=*/true, topts,
+                                         &trsv_fwd_);
+    if (!st.is_ok()) return st;
+    return runtime::build_trsv_plan(f, mapping_, /*lower=*/false, topts,
+                                    &trsv_bwd_);
+  });
   if (!s.is_ok()) return s;
   stats_.plan_seconds = timer.seconds();
   return Status::ok();
@@ -969,17 +924,6 @@ Status Solver::run_numeric_phase(index_t resume_from_task) {
   return s;
 }
 
-namespace {
-
-/// True for the two cooperative-stop codes: the operation was shed on
-/// purpose and the pre-call state is still meaningful to roll back to.
-bool is_cancel_code(const Status& s) {
-  return s.code() == StatusCode::kCancelled ||
-         s.code() == StatusCode::kDeadlineExceeded;
-}
-
-}  // namespace
-
 Status Solver::refactorize(const Csc& a) {
   if (!factorized_)
     return Status::failed_precondition("refactorize: factorize() first");
@@ -993,42 +937,7 @@ Status Solver::refactorize(const Csc& a) {
     return Status::failed_precondition(
         "refactorize: sparsity pattern differs from the analysed matrix");
   }
-  std::vector<value_t> prev_values;
-  if (opts_.cancel) {
-    const auto ov = original_.values();
-    prev_values.assign(ov.begin(), ov.end());
-  }
-  original_ = a;
-  Status s = refactorize_reuse();
-  if (!s.is_ok() && opts_.cancel && is_cancel_code(s)) {
-    // Pair with refactorize_reuse's rollback: the analysed matrix must
-    // match the reinstated factors, or refinement would mix the two.
-    std::copy(prev_values.begin(), prev_values.end(),
-              original_.values_mut().begin());
-  }
-  return s;
-}
-
-Status Solver::refactorize_values(std::span<const value_t> values) {
-  if (!factorized_)
-    return Status::failed_precondition("refactorize: factorize() first");
-  if (values.size() != static_cast<std::size_t>(original_.nnz()))
-    return Status::failed_precondition(
-        "refactorize: " + std::to_string(values.size()) +
-        " values do not match the analysed matrix's nnz (" +
-        std::to_string(original_.nnz()) + ")");
-  std::vector<value_t> prev_values;
-  if (opts_.cancel) {
-    const auto ov = original_.values();
-    prev_values.assign(ov.begin(), ov.end());
-  }
-  std::copy(values.begin(), values.end(), original_.values_mut().begin());
-  Status s = refactorize_reuse();
-  if (!s.is_ok() && opts_.cancel && is_cancel_code(s)) {
-    std::copy(prev_values.begin(), prev_values.end(),
-              original_.values_mut().begin());
-  }
-  return s;
+  return refactorize_values(a.values());
 }
 
 void Solver::build_reuse_maps() {
@@ -1060,20 +969,31 @@ void Solver::build_reuse_maps() {
   }
 }
 
-Status Solver::refactorize_reuse() {
+Status Solver::refactorize_values(std::span<const value_t> values) {
+  if (!factorized_)
+    return Status::failed_precondition("refactorize: factorize() first");
+  if (values.size() != static_cast<std::size_t>(original_.nnz()))
+    return Status::failed_precondition(
+        "refactorize: " + std::to_string(values.size()) +
+        " values do not match the analysed matrix's nnz (" +
+        std::to_string(original_.nnz()) + ")");
   // With a cancel token armed, a refactorisation can stop at any commit
   // safe point. The contract is that a cancelled refactorize never
   // publishes a partial factor AND keeps the previous one solvable, so
-  // snapshot every value array the re-scatter and numeric phase overwrite
-  // (patterns never change here) and reinstate them on a cancel-typed
-  // failure. Other failures keep the historical behaviour: the solver
-  // drops to un-factorised.
+  // snapshot every value array this call overwrites (patterns never change
+  // here) and reinstate them on a cancel-typed failure; the analysed matrix
+  // is among them, or refinement would mix old factors with new values.
+  // Other failures keep the historical behaviour: the solver drops to
+  // un-factorised.
   const bool snapshot = opts_.cancel != nullptr;
+  std::vector<value_t> prev_values;
   std::vector<value_t> prev_permuted;
   std::vector<value_t> prev_filled;
   std::vector<value_t> prev_factors;
   std::vector<float> prev_factors32;
   if (snapshot) {
+    const auto ov = original_.values();
+    prev_values.assign(ov.begin(), ov.end());
     const auto pv = reorder_.permuted.values();
     prev_permuted.assign(pv.begin(), pv.end());
     const auto sfv = symbolic_.filled.values();
@@ -1092,6 +1012,7 @@ Status Solver::refactorize_reuse() {
       }
     }
   }
+  std::copy(values.begin(), values.end(), original_.values_mut().begin());
   // Re-apply the frozen scaling + permutations to the new values.
   Csc work = original_;
   work.scale(reorder_.row_scale, reorder_.col_scale);
@@ -1129,6 +1050,8 @@ Status Solver::refactorize_reuse() {
     if (snapshot && is_cancel_code(s)) {
       // Reinstate the previous factorisation value-for-value; the solver
       // stays solvable with the pre-refactorize factors.
+      std::copy(prev_values.begin(), prev_values.end(),
+                original_.values_mut().begin());
       std::copy(prev_permuted.begin(), prev_permuted.end(),
                 reorder_.permuted.values_mut().begin());
       std::copy(prev_filled.begin(), prev_filled.end(),
@@ -1157,6 +1080,168 @@ Status Solver::refactorize_reuse() {
   return Status::ok();
 }
 
+template <class V>
+Status Solver::direct_pass(const block::BlockMatrixT<V>& f, bool transpose,
+                           const value_t* rhs, value_t* sol, index_t k,
+                           std::vector<V>& z, const CancelToken* cancel) const {
+  if (k == 0) return Status::ok();
+  // Ap = P_R (D_r A D_c) P_C^T = L U. A x = b packs
+  // z(row_perm[r]) = row_scale[r] * b(r), runs L then U, and unpacks
+  // x(c) = col_scale[c] * z(col_perm[c]); A^T x = b swaps the roles of the
+  // row and column permutation/scaling and runs U^T then L^T.
+  const auto& in_perm = transpose ? reorder_.col_perm : reorder_.row_perm;
+  const auto& in_scale = transpose ? reorder_.col_scale : reorder_.row_scale;
+  const auto& out_perm = transpose ? reorder_.row_perm : reorder_.col_perm;
+  const auto& out_scale = transpose ? reorder_.row_scale : reorder_.col_scale;
+  const auto n = static_cast<std::size_t>(stats_.n);
+  const auto w = static_cast<std::size_t>(k);
+  // rhs/sol are column-major n x k; the work panel is row-interleaved (column
+  // c of row r at z[r * k + c]), the layout the panel sweeps consume. The
+  // scaling runs in FP64 and rounds once into V.
+  z.resize(n * w);
+  for (std::size_t c = 0; c < w; ++c)
+    for (std::size_t r = 0; r < n; ++r)
+      z[static_cast<std::size_t>(in_perm[r]) * w + c] =
+          static_cast<V>(in_scale[r] * rhs[c * n + r]);
+  // Width 1 runs the vector sweeps, which beat the panel sweeps at k = 1;
+  // both give the same bits per column. A cancel between sweep levels leaves
+  // only the work panel partial: `sol` is written after both sweeps finish.
+  Status s;
+  if (k == 1) {
+    const std::span<V> v(z.data(), n);
+    s = transpose ? block_upper_transpose_solve(f, solve_plan_, v, cancel)
+                  : block_lower_solve(f, solve_plan_, v, cancel);
+    if (s.is_ok())
+      s = transpose ? block_lower_transpose_solve(f, solve_plan_, v, cancel)
+                    : block_upper_solve(f, solve_plan_, v, cancel);
+  } else {
+    s = transpose ? block_upper_transpose_solve_multi(f, solve_plan_, z.data(),
+                                                      k, k, cancel)
+                  : block_lower_solve_multi(f, solve_plan_, z.data(), k, k,
+                                            cancel);
+    if (s.is_ok())
+      s = transpose ? block_lower_transpose_solve_multi(f, solve_plan_,
+                                                        z.data(), k, k, cancel)
+                    : block_upper_solve_multi(f, solve_plan_, z.data(), k, k,
+                                              cancel);
+  }
+  if (!s.is_ok()) return s;
+  for (std::size_t c = 0; c < w; ++c)
+    for (std::size_t r = 0; r < n; ++r) {
+      const V zr = z[static_cast<std::size_t>(out_perm[r]) * w + c];
+      sol[c * n + r] = out_scale[r] * static_cast<value_t>(zr);
+    }
+  return Status::ok();
+}
+
+namespace {
+
+/// What refinement does with a column after measuring its relative residual.
+enum class RefineStep { kSweep, kDone, kStalled, kExhausted };
+
+/// The refinement stop rule. FP64 and kSingle run a fixed sweep budget that
+/// never fails; kMixedIR iterates to Options::ir_tolerance, and a sweep that
+/// no longer shrinks the residual, or an exhausted budget, is a failure: the
+/// FP32 factors cannot drive the system to FP64 accuracy.
+RefineStep refine_step(const Options& o, value_t resid, value_t prev, int it) {
+  if (o.precision != kernels::Precision::kMixedIR)
+    return it >= o.refine_iters || resid <= 1e-16 ? RefineStep::kDone
+                                                  : RefineStep::kSweep;
+  if (resid <= o.ir_tolerance) return RefineStep::kDone;
+  if (resid >= prev * value_t(0.9)) return RefineStep::kStalled;
+  if (it >= o.ir_max_iters) return RefineStep::kExhausted;
+  return RefineStep::kSweep;
+}
+
+std::string sci(value_t v) {
+  // std::to_string would print small residuals as fixed-point zeros.
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3e", static_cast<double>(v));
+  return buf;
+}
+
+}  // namespace
+
+template <class V>
+Status Solver::refined_solve(const block::BlockMatrixT<V>& f, const value_t* b,
+                             index_t k, value_t* x, SolveStats* worst,
+                             const CancelToken* cancel) const {
+  std::vector<V> z;
+  Status s = direct_pass(f, /*transpose=*/false, b, x, k, z, cancel);
+  if (!s.is_ok()) return s;
+
+  // Iterative refinement in FP64 against the original matrix (the GESP
+  // recipe), on the shrinking set of columns still refining: a column leaves
+  // the panel the moment its own single-RHS loop would stop, and the sweeps
+  // are per-column independent, so every column sees exactly the operations
+  // of a one-column solve.
+  const auto n = static_cast<std::size_t>(stats_.n);
+  const auto w = static_cast<std::size_t>(k);
+  const value_t a_norm1 = norm1(original_);
+  std::vector<value_t> ax(n);
+  std::vector<value_t> rp(n * w);
+  std::vector<value_t> dx(n * w);
+  std::vector<int> iters(w, 0);
+  std::vector<value_t> resid(w, 0);
+  std::vector<value_t> prev(w, std::numeric_limits<value_t>::infinity());
+  index_t stalled = 0;
+  index_t exhausted = 0;
+  std::vector<index_t> active(w);
+  for (index_t j = 0; j < k; ++j) active[static_cast<std::size_t>(j)] = j;
+  for (int it = 0; !active.empty(); ++it) {
+    if (cancel) {
+      Status cs = cancel->check(
+          ("refinement iteration " + std::to_string(it)).c_str());
+      if (!cs.is_ok()) return cs;
+    }
+    std::vector<index_t> next;
+    for (index_t col : active) {
+      const auto c = static_cast<std::size_t>(col);
+      const std::span<const value_t> xc(x + c * n, n);
+      const std::span<const value_t> bc(b + c * n, n);
+      // The residual lands in the next free panel slot, kept only if the
+      // column sweeps again.
+      const std::span<value_t> r(rp.data() + next.size() * n, n);
+      original_.spmv(xc, ax);
+      for (std::size_t i = 0; i < n; ++i) r[i] = bc[i] - ax[i];
+      resid[c] = norm_inf(r) /
+                 std::max<value_t>(a_norm1 * norm_inf(xc) + norm_inf(bc), 1);
+      const RefineStep step = refine_step(opts_, resid[c], prev[c], it);
+      stalled += step == RefineStep::kStalled;
+      exhausted += step == RefineStep::kExhausted;
+      if (step != RefineStep::kSweep) continue;
+      prev[c] = resid[c];
+      next.push_back(col);
+    }
+    if (next.empty()) break;
+    s = direct_pass(f, /*transpose=*/false, rp.data(), dx.data(),
+                    static_cast<index_t>(next.size()), z, cancel);
+    if (!s.is_ok()) return s;
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      const auto c = static_cast<std::size_t>(next[i]);
+      for (std::size_t row = 0; row < n; ++row)
+        x[c * n + row] += dx[i * n + row];
+      ++iters[c];
+    }
+    active = std::move(next);
+  }
+  SolveStats all;
+  for (std::size_t c = 0; c < w; ++c) {
+    all.refine_iterations = std::max(all.refine_iterations, iters[c]);
+    all.final_residual = std::max(all.final_residual, resid[c]);
+  }
+  if (worst) *worst = all;
+  if (stalled + exhausted == 0) return Status::ok();
+  return Status::numeric_breakdown(
+      "mixed-precision refinement failed on " +
+      std::to_string(stalled + exhausted) + " of " + std::to_string(k) +
+      " right-hand sides (" + std::to_string(stalled) + " stalled, " +
+      std::to_string(exhausted) + " hit the " +
+      std::to_string(opts_.ir_max_iters) + "-sweep cap) at relative residual " +
+      sci(all.final_residual) + " (target " + sci(opts_.ir_tolerance) +
+      ") — retry at Precision::kDouble");
+}
+
 Status Solver::solve(std::span<const value_t> b, std::span<value_t> x,
                      SolveStats* solve_stats) const {
   return solve(b, x, solve_stats, opts_.cancel);
@@ -1168,517 +1253,25 @@ Status Solver::solve(std::span<const value_t> b, std::span<value_t> x,
   const index_t n = stats_.n;
   if (static_cast<index_t>(b.size()) != n || static_cast<index_t>(x.size()) != n)
     return Status::invalid_argument("solve: size mismatch");
-  if (kernels::stores_fp32(opts_.precision))
-    return solve_fp32(b, x, solve_stats, cancel);
-
-  // One direct solve pass: permute/scale rhs, two triangular solves,
-  // unpermute/scale solution.
-  std::vector<value_t> z(static_cast<std::size_t>(n));
-  auto direct_pass = [&](std::span<const value_t> rhs,
-                         std::span<value_t> sol) -> Status {
-    // bp(row_perm[r]) = row_scale[r] * rhs(r)
-    for (index_t r = 0; r < n; ++r) {
-      z[static_cast<std::size_t>(reorder_.row_perm[static_cast<std::size_t>(r)])] =
-          reorder_.row_scale[static_cast<std::size_t>(r)] *
-          rhs[static_cast<std::size_t>(r)];
-    }
-    // Cancellation between sweep levels leaves only the internal work
-    // vector partial; `sol` is written after both sweeps complete.
-    Status ss = block_lower_solve(factors_, solve_plan_, z, cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_upper_solve(factors_, solve_plan_, z, cancel);
-    if (!ss.is_ok()) return ss;
-    // x(c) = col_scale[c] * z(col_perm[c])
-    for (index_t c = 0; c < n; ++c) {
-      sol[static_cast<std::size_t>(c)] =
-          reorder_.col_scale[static_cast<std::size_t>(c)] *
-          z[static_cast<std::size_t>(reorder_.col_perm[static_cast<std::size_t>(c)])];
-    }
-    return Status::ok();
-  };
-
-  // The whole pass works on an internal iterate; the caller's x is written
-  // only on success, so a cancel-typed return leaves it bitwise untouched.
-  std::vector<value_t> xi(static_cast<std::size_t>(n));
-  Status ds = direct_pass(b, xi);
-  if (!ds.is_ok()) return ds;
-
-  // Iterative refinement against the original matrix recovers the digits a
-  // perturbed pivot may have cost (the GESP recipe).
-  std::vector<value_t> r(static_cast<std::size_t>(n));
-  std::vector<value_t> ax(static_cast<std::size_t>(n));
-  std::vector<value_t> dx(static_cast<std::size_t>(n));
-  int iterations = 0;
-  value_t last_residual = 0;
-  for (int it = 0; it <= opts_.refine_iters; ++it) {
-    if (cancel) {
-      Status cs = cancel->check(
-          ("refinement iteration " + std::to_string(it)).c_str());
-      if (!cs.is_ok()) return cs;
-    }
-    original_.spmv(xi, ax);
-    for (index_t i = 0; i < n; ++i)
-      r[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(i)] - ax[static_cast<std::size_t>(i)];
-    const value_t rn = norm_inf(r);
-    const value_t scale =
-        std::max<value_t>(norm1(original_) * norm_inf(xi) + norm_inf(b), 1);
-    last_residual = rn / scale;
-    if (it == opts_.refine_iters || last_residual <= 1e-16) break;
-    ds = direct_pass(r, dx);
-    if (!ds.is_ok()) return ds;
-    for (index_t i = 0; i < n; ++i)
-      xi[static_cast<std::size_t>(i)] += dx[static_cast<std::size_t>(i)];
-    ++iterations;
-  }
-  std::copy(xi.begin(), xi.end(), x.begin());
-  if (solve_stats) {
-    solve_stats->refine_iterations = iterations;
-    solve_stats->final_residual = last_residual;
-  }
-  return Status::ok();
-}
-
-Status Solver::solve_fp32(std::span<const value_t> b, std::span<value_t> x,
-                          SolveStats* solve_stats,
-                          const CancelToken* cancel) const {
-  const index_t n = stats_.n;
-  const bool mixed = opts_.precision == kernels::Precision::kMixedIR;
-
-  // FP32 direct pass: permute/scale in FP64, round once into the FP32 work
-  // vector, run the FP32 sweeps on the FP32 factors, widen on the way out.
-  std::vector<float> z(static_cast<std::size_t>(n));
-  auto direct_pass = [&](std::span<const value_t> rhs,
-                         std::span<value_t> sol) -> Status {
-    for (index_t r = 0; r < n; ++r) {
-      z[static_cast<std::size_t>(
-          reorder_.row_perm[static_cast<std::size_t>(r)])] =
-          static_cast<float>(
-              reorder_.row_scale[static_cast<std::size_t>(r)] *
-              rhs[static_cast<std::size_t>(r)]);
-    }
-    Status ss = block_lower_solve(factors32_, solve_plan_, z, cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_upper_solve(factors32_, solve_plan_, z, cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t c = 0; c < n; ++c) {
-      sol[static_cast<std::size_t>(c)] =
-          reorder_.col_scale[static_cast<std::size_t>(c)] *
-          static_cast<value_t>(z[static_cast<std::size_t>(
-              reorder_.col_perm[static_cast<std::size_t>(c)])]);
-    }
-    return Status::ok();
-  };
-
-  // As in the FP64 path, refine an internal iterate and publish only on a
-  // non-cancelled return; a numeric breakdown still surfaces its best
-  // iterate, a cancel leaves the caller's x bitwise untouched.
-  std::vector<value_t> xi(static_cast<std::size_t>(n));
-  Status ds = direct_pass(b, xi);
-  if (!ds.is_ok()) return ds;
-
-  // Refinement in FP64 against the original matrix. kSingle runs the same
-  // fixed-budget loop as the FP64 path (accuracy bounded by FP32, never an
-  // error); kMixedIR iterates until Options::ir_tolerance and reports a
-  // stall or an exhausted sweep budget as kNumericBreakdown.
-  std::vector<value_t> r(static_cast<std::size_t>(n));
-  std::vector<value_t> ax(static_cast<std::size_t>(n));
-  std::vector<value_t> dx(static_cast<std::size_t>(n));
-  const int max_iters = mixed ? opts_.ir_max_iters : opts_.refine_iters;
-  int iterations = 0;
-  value_t last_residual = 0;
-  value_t prev_residual = std::numeric_limits<value_t>::infinity();
-  Status result = Status::ok();
-  for (int it = 0;; ++it) {
-    if (cancel) {
-      Status cs = cancel->check(
-          ("refinement iteration " + std::to_string(it)).c_str());
-      if (!cs.is_ok()) return cs;
-    }
-    original_.spmv(xi, ax);
-    for (index_t i = 0; i < n; ++i)
-      r[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(i)] - ax[static_cast<std::size_t>(i)];
-    const value_t rn = norm_inf(r);
-    const value_t scale =
-        std::max<value_t>(norm1(original_) * norm_inf(xi) + norm_inf(b), 1);
-    last_residual = rn / scale;
-    if (mixed) {
-      if (last_residual <= opts_.ir_tolerance) break;
-      // A sweep that no longer shrinks the residual will not start shrinking
-      // it later: the FP32 factorisation has hit its preconditioning limit.
-      // std::to_string would print these as fixed-point zeros.
-      auto sci = [](value_t v) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.3e", static_cast<double>(v));
-        return std::string(buf);
-      };
-      if (last_residual >= prev_residual * value_t(0.9)) {
-        result = Status::numeric_breakdown(
-            "mixed-precision refinement stalled at relative residual " +
-            sci(last_residual) + " (target " + sci(opts_.ir_tolerance) +
-            ") after " + std::to_string(iterations) +
-            " sweeps — retry at Precision::kDouble");
-        break;
-      }
-      if (it >= max_iters) {
-        result = Status::numeric_breakdown(
-            "mixed-precision refinement did not reach relative residual " +
-            sci(opts_.ir_tolerance) + " within " + std::to_string(max_iters) +
-            " sweeps — retry at Precision::kDouble");
-        break;
-      }
-    } else {
-      if (it == max_iters || last_residual <= 1e-16) break;
-    }
-    ds = direct_pass(r, dx);
-    if (!ds.is_ok()) return ds;
-    for (index_t i = 0; i < n; ++i)
-      xi[static_cast<std::size_t>(i)] += dx[static_cast<std::size_t>(i)];
-    prev_residual = last_residual;
-    ++iterations;
-  }
-  std::copy(xi.begin(), xi.end(), x.begin());
-  if (solve_stats) {
-    solve_stats->refine_iterations = iterations;
-    solve_stats->final_residual = last_residual;
-  }
-  return result;
+  std::vector<value_t> xi(x.size());
+  const Status s = on_stored_factors([&](const auto& f) {
+    return refined_solve(f, b.data(), 1, xi.data(), solve_stats, cancel);
+  });
+  if (!is_cancel_code(s)) std::copy(xi.begin(), xi.end(), x.begin());
+  return s;
 }
 
 Status Solver::solve_multi(const Dense& b, Dense* x, SolveStats* worst) const {
   if (!factorized_) return Status::failed_precondition("factorize() first");
   if (b.n_rows() != stats_.n)
     return Status::invalid_argument("solve_multi: row count mismatch");
-  if (kernels::stores_fp32(opts_.precision))
-    return solve_multi_fp32(b, x, worst);
-  const index_t n = stats_.n;
-  const index_t k = b.n_cols();
-  *x = Dense(n, k);
-  if (worst) *worst = SolveStats{};
-  if (k == 0) return Status::ok();
-
-  // One panel direct pass for `kk` packed columns: the permute/scale step
-  // packs the column-major rhs into the row-interleaved work panel the
-  // sweeps consume, and the unpermute/scale step unpacks it back. Column for
-  // column this performs exactly solve()'s direct_pass operations.
-  std::vector<value_t> z(static_cast<std::size_t>(n) *
-                         static_cast<std::size_t>(k));
-  auto panel_direct = [&](const value_t* rhs, value_t* sol,
-                          index_t kk) -> Status {
-    for (index_t c = 0; c < kk; ++c) {
-      const value_t* rc = rhs + static_cast<std::size_t>(c) * n;
-      for (index_t r = 0; r < n; ++r) {
-        z[static_cast<std::size_t>(
-              reorder_.row_perm[static_cast<std::size_t>(r)]) *
-              static_cast<std::size_t>(kk) +
-          static_cast<std::size_t>(c)] =
-            reorder_.row_scale[static_cast<std::size_t>(r)] *
-            rc[static_cast<std::size_t>(r)];
-      }
-    }
-    Status ss = block_lower_solve_multi(factors_, solve_plan_, z.data(), kk,
-                                        kk, opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_upper_solve_multi(factors_, solve_plan_, z.data(), kk, kk,
-                                 opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t c = 0; c < kk; ++c) {
-      value_t* sc = sol + static_cast<std::size_t>(c) * n;
-      for (index_t cc = 0; cc < n; ++cc) {
-        sc[static_cast<std::size_t>(cc)] =
-            reorder_.col_scale[static_cast<std::size_t>(cc)] *
-            z[static_cast<std::size_t>(
-                  reorder_.col_perm[static_cast<std::size_t>(cc)]) *
-                  static_cast<std::size_t>(kk) +
-              static_cast<std::size_t>(c)];
-      }
-    }
-    return Status::ok();
-  };
-
-  // Dense stores columns contiguously, so b/x panels enter and leave
-  // panel_direct column-major; only the internal work panel is interleaved.
-  Status ds = panel_direct(b.col(0), x->col(0), k);
-  if (!ds.is_ok()) return ds;
-
-  // Iterative refinement on the shrinking active set: a column leaves the
-  // panel the moment solve() would have stopped refining it, and the panel
-  // kernels are per-column independent, so each column sees exactly the
-  // operations of its own single-RHS refinement loop.
-  std::vector<value_t> r(static_cast<std::size_t>(n));
-  std::vector<value_t> ax(static_cast<std::size_t>(n));
-  std::vector<value_t> rp(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(k));
-  std::vector<value_t> dx(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(k));
-  std::vector<int> iters(static_cast<std::size_t>(k), 0);
-  std::vector<value_t> resid(static_cast<std::size_t>(k), 0);
-  std::vector<index_t> active(static_cast<std::size_t>(k));
-  for (index_t j = 0; j < k; ++j) active[static_cast<std::size_t>(j)] = j;
-  for (int it = 0; it <= opts_.refine_iters && !active.empty(); ++it) {
-    if (opts_.cancel) {
-      Status cs = opts_.cancel->check(
-          ("refinement iteration " + std::to_string(it)).c_str());
-      if (!cs.is_ok()) return cs;
-    }
-    std::vector<index_t> next;
-    for (index_t col : active) {
-      value_t* xc = x->col(col);
-      original_.spmv({xc, static_cast<std::size_t>(n)}, ax);
-      for (index_t i = 0; i < n; ++i)
-        r[static_cast<std::size_t>(i)] =
-            b(i, col) - ax[static_cast<std::size_t>(i)];
-      const value_t rn = norm_inf(r);
-      const value_t scale = std::max<value_t>(
-          norm1(original_) *
-                  norm_inf({xc, static_cast<std::size_t>(n)}) +
-              norm_inf({b.col(col), static_cast<std::size_t>(n)}),
-          1);
-      resid[static_cast<std::size_t>(col)] = rn / scale;
-      if (it == opts_.refine_iters ||
-          resid[static_cast<std::size_t>(col)] <= 1e-16)
-        continue;  // this column is done refining
-      std::copy(r.begin(), r.end(),
-                rp.begin() + static_cast<std::ptrdiff_t>(next.size()) * n);
-      next.push_back(col);
-    }
-    if (next.empty()) break;
-    ds = panel_direct(rp.data(), dx.data(), static_cast<index_t>(next.size()));
-    if (!ds.is_ok()) return ds;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      const index_t col = next[i];
-      value_t* xc = x->col(col);
-      const value_t* dc = dx.data() + i * static_cast<std::size_t>(n);
-      for (index_t row = 0; row < n; ++row)
-        xc[static_cast<std::size_t>(row)] += dc[static_cast<std::size_t>(row)];
-      ++iters[static_cast<std::size_t>(col)];
-    }
-    active = std::move(next);
-  }
-  if (worst) {
-    for (index_t j = 0; j < k; ++j) {
-      worst->refine_iterations =
-          std::max(worst->refine_iterations, iters[static_cast<std::size_t>(j)]);
-      worst->final_residual =
-          std::max(worst->final_residual, resid[static_cast<std::size_t>(j)]);
-    }
-  }
-  return Status::ok();
-}
-
-Status Solver::solve_multi_fp32(const Dense& b, Dense* x,
-                                SolveStats* worst) const {
-  const index_t n = stats_.n;
-  const index_t k = b.n_cols();
-  *x = Dense(n, k);
-  if (worst) *worst = SolveStats{};
-  if (k == 0) return Status::ok();
-  const bool mixed = opts_.precision == kernels::Precision::kMixedIR;
-
-  // FP32 panel direct pass: as solve_multi's, but the row-interleaved work
-  // panel is FP32 and the sweeps run on the FP32 factors. Column for column
-  // this performs exactly solve_fp32()'s direct-pass operations.
-  std::vector<float> z(static_cast<std::size_t>(n) *
-                       static_cast<std::size_t>(k));
-  auto panel_direct = [&](const value_t* rhs, value_t* sol,
-                          index_t kk) -> Status {
-    for (index_t c = 0; c < kk; ++c) {
-      const value_t* rc = rhs + static_cast<std::size_t>(c) * n;
-      for (index_t row = 0; row < n; ++row) {
-        z[static_cast<std::size_t>(
-              reorder_.row_perm[static_cast<std::size_t>(row)]) *
-              static_cast<std::size_t>(kk) +
-          static_cast<std::size_t>(c)] =
-            static_cast<float>(
-                reorder_.row_scale[static_cast<std::size_t>(row)] *
-                rc[static_cast<std::size_t>(row)]);
-      }
-    }
-    Status ss = block_lower_solve_multi(factors32_, solve_plan_, z.data(), kk,
-                                        kk, opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_upper_solve_multi(factors32_, solve_plan_, z.data(), kk, kk,
-                                 opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t c = 0; c < kk; ++c) {
-      value_t* sc = sol + static_cast<std::size_t>(c) * n;
-      for (index_t cc = 0; cc < n; ++cc) {
-        sc[static_cast<std::size_t>(cc)] =
-            reorder_.col_scale[static_cast<std::size_t>(cc)] *
-            static_cast<value_t>(
-                z[static_cast<std::size_t>(
-                      reorder_.col_perm[static_cast<std::size_t>(cc)]) *
-                      static_cast<std::size_t>(kk) +
-                  static_cast<std::size_t>(c)]);
-      }
-    }
-    return Status::ok();
-  };
-
-  Status ds = panel_direct(b.col(0), x->col(0), k);
-  if (!ds.is_ok()) return ds;
-
-  // FP64 refinement on the shrinking active set, column-for-column identical
-  // to solve_fp32's loop: a column leaves when it converges, stalls, or
-  // exhausts the sweep budget; under kMixedIR the latter two mark it failed.
-  std::vector<value_t> r(static_cast<std::size_t>(n));
-  std::vector<value_t> ax(static_cast<std::size_t>(n));
-  std::vector<value_t> rp(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(k));
-  std::vector<value_t> dx(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(k));
-  std::vector<int> iters(static_cast<std::size_t>(k), 0);
-  std::vector<value_t> resid(static_cast<std::size_t>(k), 0);
-  std::vector<value_t> prev(static_cast<std::size_t>(k),
-                            std::numeric_limits<value_t>::infinity());
-  std::vector<char> failed(static_cast<std::size_t>(k), 0);
-  const int max_iters = mixed ? opts_.ir_max_iters : opts_.refine_iters;
-  std::vector<index_t> active(static_cast<std::size_t>(k));
-  for (index_t j = 0; j < k; ++j) active[static_cast<std::size_t>(j)] = j;
-  for (int it = 0; !active.empty(); ++it) {
-    if (opts_.cancel) {
-      Status cs = opts_.cancel->check(
-          ("refinement iteration " + std::to_string(it)).c_str());
-      if (!cs.is_ok()) return cs;
-    }
-    std::vector<index_t> next;
-    for (index_t col : active) {
-      value_t* xc = x->col(col);
-      original_.spmv({xc, static_cast<std::size_t>(n)}, ax);
-      for (index_t i = 0; i < n; ++i)
-        r[static_cast<std::size_t>(i)] =
-            b(i, col) - ax[static_cast<std::size_t>(i)];
-      const value_t rn = norm_inf(r);
-      const value_t scale = std::max<value_t>(
-          norm1(original_) * norm_inf({xc, static_cast<std::size_t>(n)}) +
-              norm_inf({b.col(col), static_cast<std::size_t>(n)}),
-          1);
-      resid[static_cast<std::size_t>(col)] = rn / scale;
-      if (mixed) {
-        if (resid[static_cast<std::size_t>(col)] <= opts_.ir_tolerance)
-          continue;  // converged
-        if (resid[static_cast<std::size_t>(col)] >=
-                prev[static_cast<std::size_t>(col)] * value_t(0.9) ||
-            it >= max_iters) {
-          failed[static_cast<std::size_t>(col)] = 1;
-          continue;
-        }
-      } else {
-        if (it == max_iters ||
-            resid[static_cast<std::size_t>(col)] <= 1e-16)
-          continue;
-      }
-      std::copy(r.begin(), r.end(),
-                rp.begin() + static_cast<std::ptrdiff_t>(next.size()) * n);
-      prev[static_cast<std::size_t>(col)] =
-          resid[static_cast<std::size_t>(col)];
-      next.push_back(col);
-    }
-    if (next.empty()) break;
-    ds = panel_direct(rp.data(), dx.data(), static_cast<index_t>(next.size()));
-    if (!ds.is_ok()) return ds;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      const index_t col = next[i];
-      value_t* xc = x->col(col);
-      const value_t* dc = dx.data() + i * static_cast<std::size_t>(n);
-      for (index_t row = 0; row < n; ++row)
-        xc[static_cast<std::size_t>(row)] += dc[static_cast<std::size_t>(row)];
-      ++iters[static_cast<std::size_t>(col)];
-    }
-    active = std::move(next);
-  }
-  if (worst) {
-    for (index_t j = 0; j < k; ++j) {
-      worst->refine_iterations = std::max(
-          worst->refine_iterations, iters[static_cast<std::size_t>(j)]);
-      worst->final_residual =
-          std::max(worst->final_residual, resid[static_cast<std::size_t>(j)]);
-    }
-  }
-  if (mixed) {
-    index_t n_failed = 0;
-    for (char fcol : failed) n_failed += fcol != 0;
-    if (n_failed > 0)
-      return Status::numeric_breakdown(
-          "mixed-precision refinement failed to converge on " +
-          std::to_string(n_failed) + " of " + std::to_string(k) +
-          " right-hand sides — retry at Precision::kDouble");
-  }
-  return Status::ok();
-}
-
-Status Solver::solve_multi_transpose(const Dense& b, Dense* x) const {
-  if (!factorized_) return Status::failed_precondition("factorize() first");
-  if (b.n_rows() != stats_.n)
-    return Status::invalid_argument("solve_multi_transpose: row count mismatch");
-  const index_t n = stats_.n;
-  const index_t k = b.n_cols();
-  *x = Dense(n, k);
-  if (k == 0) return Status::ok();
-  if (kernels::stores_fp32(opts_.precision)) {
-    // FP32 transposed panel sweeps on the FP32 factors.
-    std::vector<float> z32(static_cast<std::size_t>(n) *
-                           static_cast<std::size_t>(k));
-    for (index_t cidx = 0; cidx < k; ++cidx) {
-      for (index_t c = 0; c < n; ++c) {
-        z32[static_cast<std::size_t>(
-                reorder_.col_perm[static_cast<std::size_t>(c)]) *
-                static_cast<std::size_t>(k) +
-            static_cast<std::size_t>(cidx)] =
-            static_cast<float>(
-                reorder_.col_scale[static_cast<std::size_t>(c)] * b(c, cidx));
-      }
-    }
-    Status ss = block_upper_transpose_solve_multi(factors32_, solve_plan_,
-                                                  z32.data(), k, k,
-                                                  opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_lower_transpose_solve_multi(factors32_, solve_plan_,
-                                           z32.data(), k, k, opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t cidx = 0; cidx < k; ++cidx) {
-      for (index_t row = 0; row < n; ++row) {
-        (*x)(row, cidx) =
-            reorder_.row_scale[static_cast<std::size_t>(row)] *
-            static_cast<value_t>(
-                z32[static_cast<std::size_t>(
-                        reorder_.row_perm[static_cast<std::size_t>(row)]) *
-                        static_cast<std::size_t>(k) +
-                    static_cast<std::size_t>(cidx)]);
-      }
-    }
-    return Status::ok();
-  }
-  // Row-interleaved work panel, as in solve_multi's panel_direct.
-  std::vector<value_t> z(static_cast<std::size_t>(n) *
-                         static_cast<std::size_t>(k));
-  for (index_t cidx = 0; cidx < k; ++cidx) {
-    for (index_t c = 0; c < n; ++c) {
-      z[static_cast<std::size_t>(
-            reorder_.col_perm[static_cast<std::size_t>(c)]) *
-            static_cast<std::size_t>(k) +
-        static_cast<std::size_t>(cidx)] =
-          reorder_.col_scale[static_cast<std::size_t>(c)] * b(c, cidx);
-    }
-  }
-  Status ss = block_upper_transpose_solve_multi(factors_, solve_plan_,
-                                                z.data(), k, k, opts_.cancel);
-  if (!ss.is_ok()) return ss;
-  ss = block_lower_transpose_solve_multi(factors_, solve_plan_, z.data(), k, k,
-                                         opts_.cancel);
-  if (!ss.is_ok()) return ss;
-  for (index_t cidx = 0; cidx < k; ++cidx) {
-    for (index_t row = 0; row < n; ++row) {
-      (*x)(row, cidx) =
-          reorder_.row_scale[static_cast<std::size_t>(row)] *
-          z[static_cast<std::size_t>(
-                reorder_.row_perm[static_cast<std::size_t>(row)]) *
-                static_cast<std::size_t>(k) +
-            static_cast<std::size_t>(cidx)];
-    }
-  }
-  return Status::ok();
+  Dense xi(b.n_rows(), b.n_cols());
+  const Status s = on_stored_factors([&](const auto& f) {
+    return refined_solve(f, b.col(0), b.n_cols(), xi.col(0), worst,
+                         opts_.cancel);
+  });
+  if (!is_cancel_code(s)) *x = std::move(xi);
+  return s;
 }
 
 Status Solver::solve_transpose(std::span<const value_t> b,
@@ -1687,51 +1280,23 @@ Status Solver::solve_transpose(std::span<const value_t> b,
   const index_t n = stats_.n;
   if (static_cast<index_t>(b.size()) != n || static_cast<index_t>(x.size()) != n)
     return Status::invalid_argument("solve_transpose: size mismatch");
-  // A^T x = b with Ap = P_R (D_r A D_c) P_C^T = L U:
-  //   z(col_perm[c]) = col_scale[c] * b(c);  U^T y = z;  L^T w = y;
-  //   x(r) = row_scale[r] * w(row_perm[r]).
-  if (kernels::stores_fp32(opts_.precision)) {
-    // FP32 transposed sweeps on the FP32 factors (no refinement here, as in
-    // the FP64 path).
-    std::vector<float> z32(static_cast<std::size_t>(n));
-    for (index_t c = 0; c < n; ++c) {
-      z32[static_cast<std::size_t>(
-          reorder_.col_perm[static_cast<std::size_t>(c)])] =
-          static_cast<float>(
-              reorder_.col_scale[static_cast<std::size_t>(c)] *
-              b[static_cast<std::size_t>(c)]);
-    }
-    Status ss =
-        block_upper_transpose_solve(factors32_, solve_plan_, z32, opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_lower_transpose_solve(factors32_, solve_plan_, z32,
-                                     opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t r = 0; r < n; ++r) {
-      x[static_cast<std::size_t>(r)] =
-          reorder_.row_scale[static_cast<std::size_t>(r)] *
-          static_cast<value_t>(z32[static_cast<std::size_t>(
-              reorder_.row_perm[static_cast<std::size_t>(r)])]);
-    }
-    return Status::ok();
-  }
-  std::vector<value_t> z(static_cast<std::size_t>(n));
-  for (index_t c = 0; c < n; ++c) {
-    z[static_cast<std::size_t>(reorder_.col_perm[static_cast<std::size_t>(c)])] =
-        reorder_.col_scale[static_cast<std::size_t>(c)] *
-        b[static_cast<std::size_t>(c)];
-  }
-  Status ss =
-      block_upper_transpose_solve(factors_, solve_plan_, z, opts_.cancel);
-  if (!ss.is_ok()) return ss;
-  ss = block_lower_transpose_solve(factors_, solve_plan_, z, opts_.cancel);
-  if (!ss.is_ok()) return ss;
-  for (index_t r = 0; r < n; ++r) {
-    x[static_cast<std::size_t>(r)] =
-        reorder_.row_scale[static_cast<std::size_t>(r)] *
-        z[static_cast<std::size_t>(reorder_.row_perm[static_cast<std::size_t>(r)])];
-  }
-  return Status::ok();
+  return on_stored_factors([&]<class V>(const block::BlockMatrixT<V>& f) {
+    std::vector<V> z;
+    return direct_pass(f, /*transpose=*/true, b.data(), x.data(), 1, z,
+                       opts_.cancel);
+  });
+}
+
+Status Solver::solve_multi_transpose(const Dense& b, Dense* x) const {
+  if (!factorized_) return Status::failed_precondition("factorize() first");
+  if (b.n_rows() != stats_.n)
+    return Status::invalid_argument("solve_multi_transpose: row count mismatch");
+  *x = Dense(b.n_rows(), b.n_cols());
+  return on_stored_factors([&]<class V>(const block::BlockMatrixT<V>& f) {
+    std::vector<V> z;
+    return direct_pass(f, /*transpose=*/true, b.col(0), x->col(0), b.n_cols(),
+                       z, opts_.cancel);
+  });
 }
 
 Status Solver::model_triangular_solve(runtime::SimResult* forward,
@@ -1741,21 +1306,14 @@ Status Solver::model_triangular_solve(runtime::SimResult* forward,
   opts.device = opts_.device;
   opts.n_ranks = opts_.n_ranks;
   opts.execute_numerics = false;
-  // The schedules were built at factorise time; repeat calls only replay the
-  // event simulation. Under FP32 storage the replay runs against the FP32
-  // twin, whose plans carry the FP32 message payload sizes.
-  if (kernels::stores_fp32(opts_.precision)) {
-    std::vector<float> dummy(static_cast<std::size_t>(stats_.n), 0.0f);
-    Status s =
-        runtime::simulate_trsv(factors32_, trsv_fwd_, dummy, opts, forward);
+  // The schedules were built at factorise time against the stored twin;
+  // repeat calls only replay the event simulation.
+  return on_stored_factors([&]<class V>(const block::BlockMatrixT<V>& f) {
+    std::vector<V> dummy(static_cast<std::size_t>(stats_.n), V(0));
+    Status s = runtime::simulate_trsv(f, trsv_fwd_, dummy, opts, forward);
     if (!s.is_ok()) return s;
-    return runtime::simulate_trsv(factors32_, trsv_bwd_, dummy, opts,
-                                  backward);
-  }
-  std::vector<value_t> dummy(static_cast<std::size_t>(stats_.n), value_t(0));
-  Status s = runtime::simulate_trsv(factors_, trsv_fwd_, dummy, opts, forward);
-  if (!s.is_ok()) return s;
-  return runtime::simulate_trsv(factors_, trsv_bwd_, dummy, opts, backward);
+    return runtime::simulate_trsv(f, trsv_bwd_, dummy, opts, backward);
+  });
 }
 
 Status Solver::condest(value_t* cond_1) const {

@@ -129,14 +129,12 @@ struct Options {
   runtime::AbftLevel abft_level = runtime::AbftLevel::kOff;
   /// Optional cooperative cancellation (util/cancel.hpp). Not owned; must
   /// outlive every call made with these options. factorize()/refactorize()
-  /// poll it at each canonical commit safe point, solve() between sweep
+  /// poll it at each canonical commit safe point, the solves between sweep
   /// levels and refinement iterations. Expiry fails typed (kCancelled /
-  /// kDeadlineExceeded) and never publishes a partial factor: a cancelled
+  /// kDeadlineExceeded) and never publishes a partial result: a cancelled
   /// factorize() leaves the solver un-factorised, a cancelled refactorize()
   /// rolls back to the previous factors (the solver stays solvable), and a
-  /// cancelled solve() never publishes a partially-swept vector — the output
-  /// is untouched, or (when refinement had already begun) holds the last
-  /// fully-refined iterate, itself a complete solution.
+  /// cancelled solve() or solve_multi() leaves its output untouched.
   const CancelToken* cancel = nullptr;
 };
 
@@ -252,7 +250,10 @@ class Solver {
 
   /// Solve A x = b using the stored factors + iterative refinement against
   /// the original matrix. `solve_stats` (optional) reports the refinement
-  /// iterations taken and the final backward error.
+  /// iterations taken and the final backward error. The direct pass runs at
+  /// the stored precision (Options::precision); refinement always runs in
+  /// FP64. A cancel-typed return leaves `x` untouched; any other return
+  /// publishes the last complete iterate.
   Status solve(std::span<const value_t> b, std::span<value_t> x,
                SolveStats* solve_stats = nullptr) const;
 
@@ -262,11 +263,13 @@ class Solver {
   Status solve(std::span<const value_t> b, std::span<value_t> x,
                SolveStats* solve_stats, const CancelToken* cancel) const;
 
-  /// Solve A X = B for an n x k right-hand-side panel. Each block of the
-  /// factors is visited once per triangular sweep and applied to all k
-  /// columns (the panel kernels of kernels/gessm.hpp, tstrf.hpp); iterative
-  /// refinement runs on the shrinking set of not-yet-converged columns.
-  /// Column j of the result is bitwise identical to solve(b.col(j)).
+  /// Solve A X = B for an n x k right-hand-side panel: solve() and this run
+  /// one driver, a span being a one-column panel. Each block of the factors
+  /// is visited once per triangular sweep and applied to all k columns (the
+  /// panel kernels of kernels/gessm.hpp, tstrf.hpp); iterative refinement
+  /// runs on the shrinking set of not-yet-converged columns. Column j of the
+  /// result is bitwise identical to solve(b.col(j)). Polls Options::cancel;
+  /// a cancel-typed return leaves `*x` untouched.
   Status solve_multi(const Dense& b, Dense* x,
                      SolveStats* worst = nullptr) const;
 
@@ -281,7 +284,8 @@ class Solver {
   Status log_abs_determinant(value_t* log_abs, int* sign) const;
 
   /// Solve A^T x = b with the same factors: (LU)^T w = z via a U^T forward
-  /// sweep and an L^T backward sweep.
+  /// sweep and an L^T backward sweep, at the stored precision and without
+  /// refinement. solve_multi_transpose() runs the same pass over a panel.
   Status solve_transpose(std::span<const value_t> b, std::span<value_t> x) const;
 
   /// Hager-Higham 1-norm condition estimate: cond_1(A) ~ ||A||_1 ||A^-1||_1,
@@ -328,19 +332,31 @@ class Solver {
   /// Called at the end of factorize(); any failure leaves the solver
   /// un-factorised, so a valid solver always has valid plans.
   Status build_solve_plans();
-  /// Shared tail of refactorize()/refactorize_values(): original_ already
-  /// holds the new values on the analysed pattern; re-scatter them through
-  /// the cached reuse maps and run the numeric phase only.
-  Status refactorize_reuse();
-  /// Build the pattern-only scatter maps refactorize_reuse() consumes
+  /// Build the pattern-only scatter maps refactorize_values() consumes
   /// (lazily, on the first refactorisation after an analysis).
   void build_reuse_maps();
-  /// FP32-storage solve paths (kSingle and kMixedIR): the direct pass runs
-  /// the FP32 sweeps on factors32_; kMixedIR then refines in FP64 until
-  /// Options::ir_tolerance or fails with kNumericBreakdown on a stall.
-  Status solve_fp32(std::span<const value_t> b, std::span<value_t> x,
-                    SolveStats* solve_stats, const CancelToken* cancel) const;
-  Status solve_multi_fp32(const Dense& b, Dense* x, SolveStats* worst) const;
+  /// Call `fn` with the stored factor twin: factors32_ under FP32 storage
+  /// (kSingle/kMixedIR), factors_ otherwise.
+  template <class Fn>
+  Status on_stored_factors(Fn&& fn) const;
+  /// One direct pass over the column-major n x k panel `rhs` into `sol`
+  /// (A X = B, or A^T X = B when `transpose`): permute and scale into the
+  /// work panel `z` (V = the stored width), run the two triangular sweeps
+  /// (the vector sweeps at k = 1, the panel sweeps when wider), unpermute
+  /// and scale out. `sol` is written only after both sweeps complete.
+  template <class V>
+  Status direct_pass(const block::BlockMatrixT<V>& f, bool transpose,
+                     const value_t* rhs, value_t* sol, index_t k,
+                     std::vector<V>& z, const CancelToken* cancel) const;
+  /// The one solve driver behind solve() and solve_multi(): a direct pass on
+  /// `f`, then FP64 refinement of the column-major n x k iterate `x` on the
+  /// shrinking set of columns still refining, under one stop rule per
+  /// precision (fixed budget at kDouble/kSingle; Options::ir_tolerance or
+  /// kNumericBreakdown at kMixedIR).
+  template <class V>
+  Status refined_solve(const block::BlockMatrixT<V>& f, const value_t* b,
+                       index_t k, value_t* x, SolveStats* worst,
+                       const CancelToken* cancel) const;
 
   Options opts_;
   Csc original_;
@@ -390,17 +406,10 @@ template <class V>
 void block_upper_solve(const block::BlockMatrixT<V>& f,
                        std::type_identity_t<std::span<V>> x);
 
-/// Transposed sweeps: U^T y = z (forward) and L^T w = y (backward), used by
-/// solve_transpose and the condition estimator.
-template <class V>
-void block_upper_transpose_solve(const block::BlockMatrixT<V>& f,
-                                 std::type_identity_t<std::span<V>> x);
-template <class V>
-void block_lower_transpose_solve(const block::BlockMatrixT<V>& f,
-                                 std::type_identity_t<std::span<V>> x);
-
-/// Plan-based variants of the four sweeps: same traversal, same bits, no
-/// per-call schedule discovery. Each polls the optional CancelToken at every
+/// Plan-based variants of the forward/backward sweeps (same traversal, same
+/// bits, no per-call schedule discovery), plus the transposed sweeps
+/// U^T y = z (forward) and L^T w = y (backward) used by solve_transpose and
+/// the condition estimator. Each polls the optional CancelToken at every
 /// sweep level (one block row/column) and stops typed on expiry — the
 /// caller's working vector is then partial and must be discarded, which
 /// Solver::solve does by never copying it into the output.

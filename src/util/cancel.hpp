@@ -123,4 +123,13 @@ class CancelToken {
       std::numeric_limits<double>::infinity()};
 };
 
+/// True for the two cooperative-stop codes a token produces: the operation
+/// was shed on purpose, not broken, so the state it ran against is still the
+/// pre-call state (a cancelled refactorize has rolled back, a cancelled solve
+/// published nothing).
+inline bool is_cancel_code(const Status& s) {
+  return s.code() == StatusCode::kCancelled ||
+         s.code() == StatusCode::kDeadlineExceeded;
+}
+
 }  // namespace pangulu

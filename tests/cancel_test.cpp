@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -30,11 +31,6 @@ namespace {
 // Generous ceiling on safe-point counts for the sweep loops: if a seeded
 // run still has not completed with this many free checks, polls leak.
 constexpr long long kMaxSafePoints = 200000;
-
-bool is_cancel_code(const Status& s) {
-  return s.code() == StatusCode::kCancelled ||
-         s.code() == StatusCode::kDeadlineExceeded;
-}
 
 std::vector<value_t> make_rhs(const Csc& a) {
   std::vector<value_t> ones(static_cast<std::size_t>(a.n_cols()), 1.0);
@@ -194,42 +190,82 @@ TEST(CancelSweep, ThreadedFactorizeEveryTaskBoundary) {
          << " free checks";
 }
 
-// Solve sweep: fire at every sweep level. Without refinement the output
-// vector is bitwise untouched on every cancellation point, and the
-// eventual un-cancelled solve is bitwise the undisturbed answer.
+// Solve sweep: fire at every sweep level of each solve entry point. Without
+// refinement the output is bitwise untouched on every cancellation point,
+// and the eventual un-cancelled solve is bitwise the undisturbed answer.
+// solve() takes a per-call token; solve_multi() polls Options::cancel, armed
+// only after factorize, on a two-column panel so the panel sweeps run.
 TEST(CancelSweep, SolveEverySweepLevelLeavesOutputUntouched) {
   const Csc a = matgen::grid2d_laplacian(12, 12);
+  CancelToken options_token;
   Options opts = cancel_sweep_options();
   opts.refine_iters = 0;
+  opts.cancel = &options_token;
   Solver s;
   ASSERT_TRUE(s.factorize(a, opts).is_ok());
   const auto b = make_rhs(a);
-  std::vector<value_t> want(b.size(), 0.0);
-  ASSERT_TRUE(s.solve(b, want).is_ok());
-
-  const value_t sentinel = static_cast<value_t>(-12345.5);
-  long long cancelled_runs = 0;
-  for (long long n = 0; n <= kMaxSafePoints; ++n) {
-    CancelToken tok;
-    tok.cancel_after_checks(n);
-    std::vector<value_t> x(b.size(), sentinel);
-    const Status st = s.solve(b, x, nullptr, &tok);
-    if (st.is_ok()) {
-      EXPECT_EQ(x, want);
-      EXPECT_GT(cancelled_runs, 0) << "the sweep never fired";
-      return;
-    }
-    SCOPED_TRACE("cancelled after " + std::to_string(n) + " checks");
-    ASSERT_TRUE(is_cancel_code(st)) << st.message();
-    ++cancelled_runs;
-    for (value_t v : x) ASSERT_EQ(v, sentinel) << "partial sweep published";
-    // The factorisation is untouched by a shed solve.
-    std::vector<value_t> x2(b.size(), 0.0);
-    ASSERT_TRUE(s.solve(b, x2).is_ok());
-    ASSERT_EQ(x2, want);
+  const std::size_t n = b.size();
+  Dense panel(a.n_cols(), 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    panel.col(0)[i] = b[i];
+    panel.col(1)[i] = value_t(-0.5) * b[i];
   }
-  FAIL() << "solve never completed within " << kMaxSafePoints
-         << " free checks";
+
+  // Each input solves with its token armed to fail after `checks` polls (-1:
+  // disarmed) and returns its whole output in `x` (column-major for the
+  // panel), which holds the caller's values on entry.
+  struct Input {
+    const char* name;
+    std::size_t width;
+    std::function<Status(long long checks, std::vector<value_t>* x)> run;
+  };
+  const Input inputs[] = {
+      {"solve", n,
+       [&](long long checks, std::vector<value_t>* x) {
+         CancelToken tok;
+         tok.cancel_after_checks(checks);
+         return s.solve(b, *x, nullptr, &tok);
+       }},
+      {"solve_multi", 2 * n,
+       [&](long long checks, std::vector<value_t>* x) {
+         Dense out(a.n_cols(), 2);
+         std::copy(x->begin(), x->end(), out.col(0));
+         options_token.cancel_after_checks(checks);
+         const Status st = s.solve_multi(panel, &out);
+         options_token.cancel_after_checks(-1);
+         x->assign(out.col(0), out.col(0) + static_cast<std::size_t>(
+                                                 out.n_rows() * out.n_cols()));
+         return st;
+       }},
+  };
+  const value_t sentinel = static_cast<value_t>(-12345.5);
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    std::vector<value_t> want(in.width, 0.0);
+    ASSERT_TRUE(in.run(-1, &want).is_ok());
+    long long cancelled_runs = 0;
+    bool completed = false;
+    for (long long n_checks = 0; n_checks <= kMaxSafePoints; ++n_checks) {
+      std::vector<value_t> x(in.width, sentinel);
+      const Status st = in.run(n_checks, &x);
+      if (st.is_ok()) {
+        EXPECT_EQ(x, want);
+        EXPECT_GT(cancelled_runs, 0) << "the sweep never fired";
+        completed = true;
+        break;
+      }
+      SCOPED_TRACE("cancelled after " + std::to_string(n_checks) + " checks");
+      ASSERT_TRUE(is_cancel_code(st)) << st.message();
+      ++cancelled_runs;
+      for (value_t v : x) ASSERT_EQ(v, sentinel) << "partial sweep published";
+      // The factorisation is untouched by a shed solve.
+      std::vector<value_t> x2(in.width, 0.0);
+      ASSERT_TRUE(in.run(-1, &x2).is_ok());
+      ASSERT_EQ(x2, want);
+    }
+    EXPECT_TRUE(completed) << "solve never completed within "
+                           << kMaxSafePoints << " free checks";
+  }
 }
 
 // With refinement on, a cancelled solve may also surface the last fully

@@ -40,23 +40,26 @@ Csc reference_factor(const Csc& a) {
 }
 
 TEST(DeviceModel, CostOrderingMatchesDecisionTreeRegimes) {
+  using kernels::Addressing;
   DeviceModel d = DeviceModel::a100_like();
   // Tiny kernels: CPU beats GPU (launch overhead dominates).
-  EXPECT_LT(d.sparse_kernel_time(false, false, 1e3, 100, 32),
-            d.sparse_kernel_time(true, false, 1e3, 100, 32));
+  EXPECT_LT(d.sparse_kernel_time(false, Addressing::kMerge, 1e3, 100, 32),
+            d.sparse_kernel_time(true, Addressing::kBinSearch, 1e3, 100, 32));
   // Huge kernels: GPU wins on throughput.
-  EXPECT_GT(d.sparse_kernel_time(false, false, 1e9, 1e6, 256),
-            d.sparse_kernel_time(true, false, 1e9, 1e6, 256));
+  EXPECT_GT(d.sparse_kernel_time(false, Addressing::kMerge, 1e9, 1e6, 256),
+            d.sparse_kernel_time(true, Addressing::kBinSearch, 1e9, 1e6, 256));
   // Very large work: dense-mapping GPU beats bin-search GPU.
-  EXPECT_GT(d.sparse_kernel_time(true, false, 1e10, 3e7, 256),
-            d.sparse_kernel_time(true, true, 1e10, 3e7, 256));
+  EXPECT_GT(
+      d.sparse_kernel_time(true, Addressing::kBinSearch, 1e10, 3e7, 256),
+      d.sparse_kernel_time(true, Addressing::kDirect, 1e10, 3e7, 256));
 }
 
 TEST(DeviceModel, Mi50SlowerThanA100) {
+  using kernels::Addressing;
   DeviceModel a = DeviceModel::a100_like();
   DeviceModel m = DeviceModel::mi50_like();
-  EXPECT_GT(m.sparse_kernel_time(true, true, 1e9, 1e6, 256),
-            a.sparse_kernel_time(true, true, 1e9, 1e6, 256));
+  EXPECT_GT(m.sparse_kernel_time(true, Addressing::kDirect, 1e9, 1e6, 256),
+            a.sparse_kernel_time(true, Addressing::kDirect, 1e9, 1e6, 256));
   EXPECT_GT(m.dense_update_time(1e9, 1e8), a.dense_update_time(1e9, 1e8));
 }
 
